@@ -1,0 +1,9 @@
+"""Let ``python -m pytest perfbench`` import the program from ``src``."""
+
+import os
+import sys
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (os.path.join(_ROOT, "src"), _ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
