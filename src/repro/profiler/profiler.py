@@ -65,9 +65,37 @@ class ProfilingObserver(Observer):
         self._fn_entry_cycles: Dict[str, List[float]] = {}
         self._active_fn_depth: Dict[str, int] = {}
         self._active_loop_depth: Dict[str, int] = {}
-        # Scopes currently interested in page-touch events: function
-        # profiles of every active (outermost) activation + active loops.
-        self._touch_scopes: List[Set[int]] = []
+        # The distinct pages_touched sets of every active function frame
+        # and loop activation, each with its number of activations: a
+        # memory access updates each set once, however deep the
+        # recursion that made it active several times.
+        self._touch_sets: List[Set[int]] = []
+        self._touch_refs: Dict[int, int] = {}
+        # Pages already in every active set; a set that becomes active
+        # may lack any of them, so activation empties this.
+        self._in_all: Set[int] = set()
+
+    def _touch_enter(self, pages: Set[int]) -> None:
+        key = id(pages)
+        refs = self._touch_refs.get(key, 0)
+        if refs == 0:
+            self._touch_sets.append(pages)
+            self._in_all = set()
+        self._touch_refs[key] = refs + 1
+
+    def _touch_exit(self, pages: Set[int]) -> None:
+        key = id(pages)
+        refs = self._touch_refs[key] - 1
+        if refs:
+            self._touch_refs[key] = refs
+            return
+        del self._touch_refs[key]
+        # Remove by identity: list.remove compares sets by equality.
+        sets = self._touch_sets
+        for i in range(len(sets) - 1, -1, -1):
+            if sets[i] is pages:
+                del sets[i]
+                break
 
     # -- function events --------------------------------------------------
     def enter_function(self, fn: Function, cycles: float) -> None:
@@ -81,6 +109,7 @@ class ProfilingObserver(Observer):
             self._fn_entry_cycles.setdefault(fn.name, []).append(cycles)
         self._frames.append(
             _FrameState(fn, self._loop_infos.get(fn.name)))
+        self._touch_enter(profile.pages_touched)
 
     def exit_function(self, fn: Function, cycles: float) -> None:
         profile = self.profiles.get(fn.name)
@@ -89,6 +118,7 @@ class ProfilingObserver(Observer):
         frame = self._frames.pop()
         while frame.loop_stack:
             self._pop_loop(frame, cycles)
+        self._touch_exit(profile.pages_touched)
         depth = self._active_fn_depth.get(fn.name, 1)
         self._active_fn_depth[fn.name] = depth - 1
         if depth == 1:
@@ -135,7 +165,7 @@ class ProfilingObserver(Observer):
             activation = _LoopActivation(loop, cycles, profile,
                                          accounting=depth == 0)
             frame.loop_stack.append(activation)
-            self._touch_scopes.append(profile.pages_touched)
+            self._touch_enter(profile.pages_touched)
 
     def _pop_loop(self, frame: _FrameState, cycles: float) -> None:
         activation = frame.loop_stack.pop()
@@ -145,26 +175,25 @@ class ProfilingObserver(Observer):
         if activation.accounting:
             activation.profile.total_seconds += (
                 (cycles - activation.start_cycles) / self.arch.clock_hz)
-        # Remove by identity: distinct activations may reference equal (or
-        # the same) sets, and list.remove compares by equality.
-        scopes = self._touch_scopes
-        target = activation.profile.pages_touched
-        for i in range(len(scopes) - 1, -1, -1):
-            if scopes[i] is target:
-                del scopes[i]
-                break
+        self._touch_exit(activation.profile.pages_touched)
 
     # -- memory events ----------------------------------------------------
     def memory_access(self, address: int, size: int, is_write: bool) -> None:
-        first = address // self.page_size
-        last = (address + max(size, 1) - 1) // self.page_size
-        pages = range(first, last + 1)
-        for frame in self._frames:
-            profile = self.profiles.get(frame.fn.name)
-            if profile is not None:
-                profile.pages_touched.update(pages)
-        for scope in self._touch_scopes:
-            scope.update(pages)
+        page_size = self.page_size
+        first = address // page_size
+        last = (address + size - 1) // page_size if size > 1 else first
+        in_all = self._in_all
+        if first == last:
+            if first in in_all:
+                return
+            for pages in self._touch_sets:
+                pages.add(first)
+            in_all.add(first)
+            return
+        span = range(first, last + 1)
+        for pages in self._touch_sets:
+            pages.update(span)
+        in_all.update(span)
 
 
 def profile_module(module: Module,

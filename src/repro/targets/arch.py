@@ -60,6 +60,15 @@ class TargetArch:
         missing = [c for c in INST_CLASSES if c not in self.cycles]
         if missing:
             raise ValueError(f"timing model missing classes: {missing}")
+        # The interpreter sums a whole segment's charges before applying
+        # them; that is bit-exact only while every scaled cost is a whole
+        # number of cycles (DESIGN.md section 5).
+        for inst_class, cost in self.cycles.items():
+            if not float(cost * CYCLE_TIME_SCALE).is_integer():
+                raise ValueError(
+                    f"cycle cost of class {inst_class!r} is {cost}: "
+                    f"{cost} x CYCLE_TIME_SCALE ({CYCLE_TIME_SCALE:g}) "
+                    "must be a whole number of cycles")
 
     @property
     def pointer_bits(self) -> int:

@@ -175,6 +175,111 @@ class TestTiming:
         assert 300 < interp.instruction_count < 3000
 
 
+class TestUndefinedValues:
+    """A use its definition does not dominate keeps a checked read."""
+
+    @staticmethod
+    def _join(select_pred=None):
+        """f(c): x = 7 * 3 only when c != 0, then a join block reads x
+        (through ``select(c <pred> 0, x, 9)`` when a predicate is given)."""
+        m = Module()
+        fn = Function("f", FunctionType(I32, [I32]), ["c"])
+        m.add_function(fn)
+        entry, then, join = (fn.add_block(n) for n in ("entry", "then",
+                                                          "join"))
+        b = IRBuilder(entry)
+        b.condbr(b.cmp("ne", fn.args[0], b.i32(0)), then, join)
+        b.position_at_end(then)
+        x = b.mul(b.i32(7), b.i32(3), "x")
+        b.br(join)
+        b.position_at_end(join)
+        if select_pred is None:
+            b.ret(b.add(x, b.i32(1)))
+        else:
+            b.ret(b.select(b.cmp(select_pred, fn.args[0], b.i32(0)),
+                           x, b.i32(9)))
+        machine = Machine(ARM32)
+        install_libc(machine)
+        machine.load(m)
+        return Interpreter(machine), fn
+
+    def test_defined_on_the_path_taken(self):
+        interp, fn = self._join()
+        assert interp.call_function(fn, [1]) == 22
+
+    def test_undefined_on_the_path_taken_raises_after_its_charge(self):
+        from repro.machine import InterpreterError
+        interp, fn = self._join()
+        with pytest.raises(InterpreterError,
+                           match="use of undefined value %x"):
+            interp.call_function(fn, [0])
+        cost = {k: v * CYCLE_TIME_SCALE for k, v in ARM32.cycles.items()}
+        # cmp + condbr, then the add that charges before reading x; the
+        # ret after it is never charged.
+        assert interp.instruction_count == 3
+        assert interp.cycles == (cost["call"] + 2 * cost["alu"]
+                                 + cost["branch"])
+        assert list(interp.cycles_by_class) == ["call", "alu", "branch"]
+
+    def test_each_call_starts_undefined(self):
+        from repro.machine import InterpreterError
+        interp, fn = self._join()
+        assert interp.call_function(fn, [1]) == 22
+        with pytest.raises(InterpreterError, match="undefined value"):
+            interp.call_function(fn, [0])
+
+    def test_select_reads_only_the_picked_arm(self):
+        from repro.machine import InterpreterError
+        interp, fn = self._join("ne")
+        assert interp.call_function(fn, [0]) == 9
+        assert interp.call_function(fn, [1]) == 21
+        interp, fn = self._join("eq")
+        with pytest.raises(InterpreterError, match="undefined value %x"):
+            interp.call_function(fn, [0])
+
+    def test_missing_argument_raises_where_it_is_read(self):
+        from repro.machine import InterpreterError
+        m = Module()
+        fn = Function("g", FunctionType(I32, [I32, I32]), ["a", "b"])
+        m.add_function(fn)
+        b = IRBuilder(fn.add_block("entry"))
+        b.ret(b.add(fn.args[0], fn.args[1]))
+        machine = Machine(ARM32)
+        install_libc(machine)
+        machine.load(m)
+        interp = Interpreter(machine)
+        with pytest.raises(InterpreterError, match="undefined value %b"):
+            interp.call_function(fn, [5])
+        assert interp.call_function(fn, [5, 6, 7]) == 11
+
+
+class TestIntegralCycleCosts:
+    """Segment charging is exact only for whole scaled cycle costs."""
+
+    def _arch(self, **overrides):
+        from repro.targets import TargetArch
+        cycles = dict(ARM32.cycles, **overrides)
+        return TargetArch(name="t", pointer_bytes=4, endianness="little",
+                          clock_hz=1e9, cycles=cycles)
+
+    def test_presets_are_integral(self):
+        from repro.targets import PRESETS
+        for arch in PRESETS.values():
+            for cost in arch.cycles.values():
+                assert float(cost * CYCLE_TIME_SCALE).is_integer()
+
+    def test_fractional_scaled_cost_rejected(self):
+        with pytest.raises(ValueError, match="'fpu'"):
+            self._arch(fpu=0.333)
+
+    def test_fraction_that_scales_to_whole_cycles_accepted(self):
+        assert self._arch(alu=0.25).cycles["alu"] == 0.25
+
+    def test_extra_class_is_checked_too(self):
+        with pytest.raises(ValueError, match="'simd'"):
+            self._arch(simd=1.005)
+
+
 class TestUnificationOverheadCounters:
     def test_pointer_conversion_counted_on_server(self):
         src = """
